@@ -102,6 +102,47 @@ def test_perf_simulator(benchmark):
     assert len(trace.acks) > 100
 
 
+#: The simulator-throughput workload: every CCA here over every
+#: environment here, for SIMULATOR_DURATION simulated seconds each.
+SIMULATOR_CCAS = ("reno", "cubic", "vegas", "bbr")
+SIMULATOR_ENVIRONMENTS = (
+    Environment(bandwidth_mbps=5.0, rtt_ms=25.0),
+    Environment(bandwidth_mbps=10.0, rtt_ms=50.0, queue_bdp=0.25),
+    Environment(bandwidth_mbps=15.0, rtt_ms=80.0, queue_bdp=2.0),
+)
+SIMULATOR_DURATION = 8.0
+#: ACKs the workload produces.  The simulator is deterministic, so this
+#: is exact: a change here means the simulated dynamics changed.
+SIMULATOR_ACKS = 66_908
+
+
+def test_perf_simulator_throughput(benchmark, report):
+    """ACKs per second of the discrete-event simulator.
+
+    The work counter (ACKs produced) is pinned exactly; the rate is
+    reported, not gated, since wall time depends on the machine.
+    """
+
+    def run() -> int:
+        return sum(
+            len(simulate(make_cca(name), env, duration=SIMULATOR_DURATION))
+            for name in SIMULATOR_CCAS
+            for env in SIMULATOR_ENVIRONMENTS
+        )
+
+    best = float("inf")
+    for _ in range(3):  # best-of-3 damps scheduler noise
+        start = time.perf_counter()
+        acks = run()
+        best = min(best, time.perf_counter() - start)
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+    report(
+        f"simulator: {acks} ACKs in {best:.2f} s = {acks / best:,.0f} ACKs/s"
+    )
+    assert acks == SIMULATOR_ACKS
+
+
 def test_perf_score_cache_saves_replays(benchmark, store, monkeypatch):
     """The cross-iteration score cache measurably reduces
     ``replay_handler`` invocations over a multi-iteration refinement run.

@@ -11,6 +11,7 @@ CCAs they know.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,16 @@ class ClassifierVerdict:
         return self.label
 
 
+#: Reference signatures per (CCA name, probe config), shared by every
+#: library in the process: a signature is a pure function of the two,
+#: and each costs one probe simulation per environment.  Holds the
+#: signatures only, never the traces they were computed from.
+_SIGNATURES: dict[tuple[str, CollectionConfig], list[np.ndarray]] = {}
+#: Guards :data:`_SIGNATURES`; ``repro serve`` runs job code on its
+#: scheduler thread.
+_SIGNATURES_LOCK = threading.Lock()
+
+
 class ReferenceLibrary:
     """Signatures of known CCAs under the probe environments."""
 
@@ -84,11 +95,20 @@ class ReferenceLibrary:
         if self._signatures:
             return
         config = probe_config()
-        for name in self.known_ccas:
-            traces = collect_traces(name, config)
-            self._signatures[name] = [
-                trace_signature(trace) for trace in traces
-            ]
+        signatures: dict[str, list[np.ndarray]] = {}
+        with _SIGNATURES_LOCK:
+            for name in self.known_ccas:
+                key = (name, config)
+                if key not in _SIGNATURES:
+                    built = [
+                        trace_signature(trace)
+                        for trace in collect_traces(name, config)
+                    ]
+                    for signature in built:
+                        signature.setflags(write=False)  # shared
+                    _SIGNATURES[key] = built
+                signatures[name] = _SIGNATURES[key]
+        self._signatures = signatures
 
     def nearest(self, trace: Trace) -> tuple[str, float]:
         """Nearest known CCA to *trace* and the distance to it.

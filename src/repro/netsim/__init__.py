@@ -7,7 +7,7 @@ noise injection for robustness experiments.
 """
 
 from repro.netsim.environments import DEFAULT_MSS, Environment, default_matrix
-from repro.netsim.packet import Ack, Packet
+from repro.netsim.packet import Packet
 from repro.netsim.queues import DropTailQueue
 from repro.netsim.multiflow import (
     MultiFlowSimulator,
@@ -26,7 +26,6 @@ __all__ = [
     "default_matrix",
     "NoiseModel",
     "apply_noise",
-    "Ack",
     "Packet",
     "DropTailQueue",
     "Simulator",

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.cca.base import AckEvent, CongestionControl, LossEvent
 from repro.errors import SimulationError
@@ -44,13 +43,6 @@ class _FlowPacket:
         return self.seq + self.size
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    order: int
-    action: Callable[[], None] = field(compare=False)
-
-
 class _FlowState:
     """Sender + receiver state for one flow."""
 
@@ -71,7 +63,11 @@ class _FlowState:
 
 
 class MultiFlowSimulator:
-    """N flows, one droptail bottleneck, per-flow traces."""
+    """N flows, one droptail bottleneck, per-flow traces.
+
+    Events are ``(time, seq, handler, arg)`` heap tuples, as in
+    :class:`~repro.netsim.simulator.Simulator`.
+    """
 
     def __init__(
         self,
@@ -94,11 +90,14 @@ class MultiFlowSimulator:
         self.duration = duration
         self.now = 0.0
         self.start_times = start_times or [0.0] * len(ccas)
-        self._events: list[_Event] = []
+        self._events: list[tuple] = []
         self._order = itertools.count()
+        self._mss = env.mss
+        self._max_cwnd = float(env.max_cwnd_bytes)
+        self._initial_rto = max(4 * env.base_rtt_sec, MIN_RTO)
         self.queue = DropTailQueue(env.queue_capacity_bytes)
         self._link_busy = False
-        self._rate = env.bandwidth_bytes_per_sec
+        self._service_time = env.mss / env.bandwidth_bytes_per_sec
         self._one_way = env.base_rtt_sec / 2.0
         self.flows = [
             _FlowState(
@@ -115,20 +114,24 @@ class MultiFlowSimulator:
 
     # -- event machinery ----------------------------------------------
 
-    def _schedule(self, delay: float, action: Callable[[], None]) -> None:
+    def _schedule(self, delay: float, handler, arg) -> None:
         heapq.heappush(
-            self._events, _Event(self.now + delay, next(self._order), action)
+            self._events, (self.now + delay, next(self._order), handler, arg)
         )
 
     def run(self) -> list[Trace]:
         for index, start in enumerate(self.start_times):
-            self._schedule(start, lambda i=index: self._start_flow(i))
-        while self._events:
-            event = heapq.heappop(self._events)
-            if event.time > self.duration:
+            self._schedule(start, self._start_flow, index)
+        events = self._events
+        pop = heapq.heappop
+        duration = self.duration
+        while events:
+            time, _, handler, arg = pop(events)
+            if time > duration:
                 break
-            self.now = event.time
-            event.action()
+            self.now = time
+            handler(arg)
+        events.clear()  # see Simulator.run
         return [flow.trace for flow in self.flows]
 
     def _start_flow(self, index: int) -> None:
@@ -137,20 +140,18 @@ class MultiFlowSimulator:
 
     # -- sender ---------------------------------------------------------
 
-    def _pipe(self, index: int) -> int:
-        flow = self.flows[index]
-        outstanding = flow.snd_nxt - flow.snd_una
-        sacked = len(flow.ooo) * self.env.mss
-        return max(outstanding - sacked, 0)
-
     def _send_window(self, index: int) -> None:
+        """Send while the SACK pipe estimate fits the clamped window."""
         flow = self.flows[index]
-        mss = self.env.mss
-        cap = float(self.env.max_cwnd_bytes)
-        while self._pipe(index) + mss <= int(min(flow.cca.cwnd, cap)):
-            self._transmit(
-                _FlowPacket(index, flow.snd_nxt, mss, self.now)
-            )
+        mss = self._mss
+        window = int(min(flow.cca.cwnd, self._max_cwnd))
+        # pipe + mss <= window, with pipe = max(snd_nxt - snd_una - sacked,
+        # 0), holds exactly while mss <= window and snd_nxt <= last.
+        last = flow.snd_una + len(flow.ooo) * mss + window - mss
+        if mss > window:
+            return
+        while flow.snd_nxt <= last:
+            self._transmit(_FlowPacket(index, flow.snd_nxt, mss, self.now))
             flow.snd_nxt += mss
 
     def _transmit(self, packet: _FlowPacket) -> None:
@@ -162,15 +163,14 @@ class MultiFlowSimulator:
             self._start_service()
 
     def _start_service(self) -> None:
-        packet = self.queue.pop()
         self._link_busy = True
         self._schedule(
-            packet.size / self._rate, lambda: self._finish_service(packet)
+            self._service_time, self._finish_service, self.queue.pop()
         )
 
-    def _finish_service(self, packet) -> None:
+    def _finish_service(self, packet: _FlowPacket) -> None:
         self._link_busy = False
-        self._schedule(self._one_way, lambda: self._deliver(packet))
+        self._schedule(self._one_way, self._deliver, packet)
         if not self.queue.is_empty:
             self._start_service()
 
@@ -182,31 +182,30 @@ class MultiFlowSimulator:
             flow.rcv_nxt = packet.end
             while flow.rcv_nxt in flow.ooo:
                 flow.ooo.discard(flow.rcv_nxt)
-                flow.rcv_nxt += self.env.mss
+                flow.rcv_nxt += self._mss
         elif packet.seq > flow.rcv_nxt:
             flow.ooo.add(packet.seq)
         sample = None if packet.retransmit else packet.send_time
-        ack_value = flow.rcv_nxt
         self._schedule(
             self._one_way,
-            lambda: self._handle_ack(packet.flow, ack_value, sample),
+            self._handle_ack,
+            (packet.flow, flow.rcv_nxt, sample),
         )
 
-    def _handle_ack(
-        self, index: int, ack: int, sent_at: float | None
-    ) -> None:
-        flow = self.flows[index]
-        if ack > flow.snd_una:
-            self._new_ack(index, ack, sent_at)
+    def _handle_ack(self, ack: tuple[int, int, float | None]) -> None:
+        index, ack_seq, sent_at = ack
+        if ack_seq > self.flows[index].snd_una:
+            self._new_ack(index, ack_seq, sent_at)
         else:
-            self._dupack(index, ack)
+            self._dupack(index, ack_seq)
         self._send_window(index)
 
     def _new_ack(self, index: int, ack: int, sent_at: float | None) -> None:
         flow = self.flows[index]
         acked = ack - flow.snd_una
         flow.snd_una = ack
-        flow.rtx_sent = {seq for seq in flow.rtx_sent if seq >= ack}
+        if flow.rtx_sent:
+            flow.rtx_sent = {seq for seq in flow.rtx_sent if seq >= ack}
         rtt = self.now - sent_at if sent_at is not None else None
         self._update_rto(flow, rtt)
         if flow.in_recovery:
@@ -218,12 +217,7 @@ class MultiFlowSimulator:
         else:
             flow.dupacks = 0
         flow.cca.on_ack(
-            AckEvent(
-                now=self.now,
-                acked_bytes=acked,
-                rtt_sample=rtt,
-                inflight_bytes=flow.snd_nxt - flow.snd_una,
-            )
+            AckEvent(self.now, acked, rtt, flow.snd_nxt - flow.snd_una)
         )
         flow.trace.acks.append(
             AckRecord(
@@ -231,7 +225,7 @@ class MultiFlowSimulator:
                 ack_seq=ack,
                 acked_bytes=acked,
                 rtt_sample=rtt,
-                cwnd_bytes=min(flow.cca.cwnd, float(self.env.max_cwnd_bytes)),
+                cwnd_bytes=min(flow.cca.cwnd, self._max_cwnd),
                 inflight_bytes=flow.snd_nxt - flow.snd_una,
             )
         )
@@ -246,7 +240,7 @@ class MultiFlowSimulator:
                 ack_seq=ack,
                 acked_bytes=0,
                 rtt_sample=None,
-                cwnd_bytes=min(flow.cca.cwnd, float(self.env.max_cwnd_bytes)),
+                cwnd_bytes=min(flow.cca.cwnd, self._max_cwnd),
                 inflight_bytes=flow.snd_nxt - flow.snd_una,
                 dupack=True,
             )
@@ -266,7 +260,7 @@ class MultiFlowSimulator:
 
     def _retransmit_missing(self, index: int, limit: int = 64) -> None:
         flow = self.flows[index]
-        mss = self.env.mss
+        mss = self._mss
         sent = 0
         for seq in range(flow.snd_una, flow.snd_nxt, mss):
             if seq in flow.ooo or seq in flow.rtx_sent:
@@ -291,25 +285,22 @@ class MultiFlowSimulator:
             flow.rttvar += 0.25 * (abs(flow.srtt - rtt) - flow.rttvar)
             flow.srtt += 0.125 * (rtt - flow.srtt)
 
-    def _rto(self, flow: _FlowState) -> float:
-        if flow.srtt is None:
-            return max(4 * self.env.base_rtt_sec, MIN_RTO)
-        return max(flow.srtt + RTO_VAR_GAIN * flow.rttvar, MIN_RTO)
-
     def _arm_timer(self, index: int) -> None:
         flow = self.flows[index]
-        deadline = self.now + self._rto(flow)
-        flow.timer_deadline = deadline
-        snapshot = flow.snd_una
+        if flow.srtt is None:
+            rto = self._initial_rto
+        else:
+            rto = max(flow.srtt + RTO_VAR_GAIN * flow.rttvar, MIN_RTO)
+        flow.timer_deadline = self.now + rto
         self._schedule(
-            self._rto(flow),
-            lambda: self._timer_fired(index, deadline, snapshot),
+            rto, self._timer_fired, (index, flow.timer_deadline, flow.snd_una)
         )
 
-    def _timer_fired(self, index: int, deadline: float, snapshot: int) -> None:
+    def _timer_fired(self, timer: tuple[int, float, int]) -> None:
+        index, deadline, snapshot = timer
         flow = self.flows[index]
         if flow.timer_deadline != deadline:
-            return
+            return  # superseded by a later re-arm
         if flow.snd_una == snapshot and flow.snd_nxt > flow.snd_una:
             flow.cca.on_loss(
                 LossEvent(
@@ -324,7 +315,7 @@ class MultiFlowSimulator:
             flow.rtx_sent.clear()
             self._transmit(
                 _FlowPacket(
-                    index, flow.snd_una, self.env.mss, self.now, retransmit=True
+                    index, flow.snd_una, self._mss, self.now, retransmit=True
                 )
             )
             self._send_window(index)

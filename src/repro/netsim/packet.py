@@ -1,4 +1,4 @@
-"""Packet and ACK records used by the discrete-event simulator."""
+"""Data segments in flight in the discrete-event simulator."""
 
 from __future__ import annotations
 
@@ -23,17 +23,3 @@ class Packet:
     def end(self) -> int:
         return self.seq + self.size
 
-
-@dataclass(slots=True)
-class Ack:
-    """A cumulative acknowledgment travelling back to the sender.
-
-    ``ack`` is the next byte the receiver expects.  ``for_send_time`` is
-    the send timestamp of the segment that triggered this ACK, used for
-    RTT sampling (Karn's rule: retransmitted segments produce ACKs with
-    ``for_send_time = None`` and are not sampled).
-    """
-
-    ack: int
-    recv_time: float
-    for_send_time: float | None

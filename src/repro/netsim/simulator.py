@@ -24,14 +24,14 @@ and pulsing dynamics the synthesizer learns from.
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable
+import math
+import sys
+from itertools import count, filterfalse, islice
 
 from repro.cca.base import AckEvent, CongestionControl, LossEvent
 from repro.errors import SimulationError
 from repro.netsim.environments import Environment
-from repro.netsim.packet import Ack, Packet
+from repro.netsim.packet import Packet
 from repro.netsim.queues import DropTailQueue
 from repro.trace.model import AckRecord, LossRecord, Trace
 
@@ -44,15 +44,14 @@ MIN_RTO = 0.2
 RTO_VAR_GAIN = 4.0
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    order: int
-    action: Callable[[], None] = field(compare=False)
-
-
 class Simulator:
-    """One flow, one bottleneck, one CCA; produces a :class:`Trace`."""
+    """One flow, one bottleneck, one CCA; produces a :class:`Trace`.
+
+    The event queue is a heap of ``(time, seq, handler, arg)`` tuples:
+    ``seq`` is a unique, increasing counter, so ties in ``time`` pop in
+    scheduling order and the handler is never compared.  Each pop calls
+    ``handler(arg)``.
+    """
 
     def __init__(
         self,
@@ -73,13 +72,20 @@ class Simulator:
         self.now = 0.0
 
         # Event queue.
-        self._events: list[_Event] = []
-        self._order = itertools.count()
+        self._events: list[tuple] = []
+        self._order = count()
 
-        # Bottleneck.
-        self.queue = DropTailQueue(env.queue_capacity_bytes)
+        # Environment constants, derived once per run.
+        self._mss = env.mss
+        self._max_cwnd = float(env.max_cwnd_bytes)
+        self._initial_rto = max(4 * env.base_rtt_sec, MIN_RTO)
+        queue_capacity = env.queue_capacity_bytes
+
+        # Bottleneck.  Every segment is one MSS, so every segment takes
+        # the same time to serialize onto the link.
+        self.queue = DropTailQueue(queue_capacity)
         self._link_busy = False
-        self._rate = env.bandwidth_bytes_per_sec
+        self._service_time = env.mss / env.bandwidth_bytes_per_sec
         self._one_way = env.base_rtt_sec / 2.0
 
         # Sender state.
@@ -89,9 +95,15 @@ class Simulator:
         self._in_recovery = False
         self._recover_point = 0
         self._rtx_sent: set[int] = set()
-        self._timer_deadline: float | None = None
         self._srtt: float | None = None
         self._rttvar = 0.0
+
+        # Retransmission timer (see _arm_timer): the live deadline, the
+        # first arm at each pending deadline, and the one heap entry.
+        self._timer_deadline = math.inf
+        self._armed: dict[float, tuple[int, int]] = {}
+        self._timer_entry_time = math.inf
+        self._timer_entry_seq = -1
 
         # Receiver state: next expected byte + out-of-order segment starts.
         self._rcv_nxt = 0
@@ -105,64 +117,63 @@ class Simulator:
             meta={
                 "bandwidth_mbps": env.bandwidth_mbps,
                 "rtt_ms": env.rtt_ms,
-                "queue_bytes": env.queue_capacity_bytes,
+                "queue_bytes": queue_capacity,
             },
         )
 
     # ------------------------------------------------------------------
-    # Event machinery
+    # Event loop
     # ------------------------------------------------------------------
-
-    def _schedule(self, delay: float, action: Callable[[], None]) -> None:
-        heapq.heappush(
-            self._events, _Event(self.now + delay, next(self._order), action)
-        )
 
     def run(self) -> Trace:
         """Run the flow to ``duration`` sim-seconds and return its trace."""
         self._send_window()
         self._arm_timer()
-        while self._events:
-            event = heapq.heappop(self._events)
-            if event.time > self.duration:
+        events = self._events
+        pop = heapq.heappop
+        duration = self.duration
+        acks = self.trace.acks
+        max_acks = sys.maxsize if self.max_acks is None else self.max_acks
+        while events:
+            time, _, handler, arg = pop(events)
+            if time > duration or len(acks) >= max_acks:
                 break
-            if (
-                self.max_acks is not None
-                and len(self.trace.acks) >= self.max_acks
-            ):
-                break
-            self.now = event.time
-            event.action()
+            self.now = time
+            handler(arg)
+        # The run is over.  Pending entries hold bound methods of this
+        # simulator; dropping them lets it (and a trace the caller does
+        # not keep) be freed at once rather than by the cycle collector.
+        events.clear()
         return self.trace
 
     # ------------------------------------------------------------------
     # Sender
     # ------------------------------------------------------------------
 
-    @property
-    def _pipe(self) -> int:
-        """Bytes believed to be in the network (SACK scoreboard estimate).
-
-        Outstanding bytes minus those the receiver holds out-of-order
-        (what SACK blocks would report).  Dropped originals keep counting
-        until repaired, which keeps the estimate conservative and avoids
-        bursting a full window into an already-overflowing queue.
-        """
-        outstanding = self.snd_nxt - self.snd_una
-        sacked = len(self._ooo) * self.env.mss
-        return max(outstanding - sacked, 0)
-
-    @property
-    def effective_cwnd(self) -> float:
-        """The CCA's window clamped by the sender's buffer (sndbuf)."""
-        return min(self.cca.cwnd, float(self.env.max_cwnd_bytes))
-
     def _send_window(self) -> None:
-        """Transmit new segments while the window allows."""
-        mss = self.env.mss
-        while self._pipe + mss <= int(self.effective_cwnd):
-            self._transmit(Packet(self.snd_nxt, mss, self.now))
-            self.snd_nxt += mss
+        """Transmit new segments while the window allows.
+
+        The pipe estimate is the SACK scoreboard's: outstanding bytes
+        minus those the receiver holds out-of-order.  Dropped originals
+        keep counting until repaired, which keeps the estimate
+        conservative and avoids bursting a full window into an
+        already-overflowing queue.  The window is the CCA's, clamped by
+        the sender's buffer (sndbuf).
+        """
+        mss = self._mss
+        window = int(min(self.cca.cwnd, self._max_cwnd))
+        # pipe + mss <= window, with pipe = max(snd_nxt - snd_una - sacked,
+        # 0), holds exactly while mss <= window and snd_nxt <= last.
+        last = self.snd_una + len(self._ooo) * mss + window - mss
+        nxt = self.snd_nxt
+        if mss > window or nxt > last:
+            return
+        queue = self.queue
+        now = self.now
+        for seq in range(nxt, last + 1, mss):
+            if queue.offer(Packet(seq, mss, now)) and not self._link_busy:
+                self._start_service()
+        self.snd_nxt = seq + mss
 
     def _transmit(self, packet: Packet) -> None:
         if not self.queue.offer(packet):
@@ -175,14 +186,28 @@ class Simulator:
             self._start_service()
 
     def _start_service(self) -> None:
-        packet = self.queue.pop()
         self._link_busy = True
-        service_time = packet.size / self._rate
-        self._schedule(service_time, lambda: self._finish_service(packet))
+        heapq.heappush(
+            self._events,
+            (
+                self.now + self._service_time,
+                next(self._order),
+                self._finish_service,
+                self.queue.pop(),
+            ),
+        )
 
     def _finish_service(self, packet: Packet) -> None:
         self._link_busy = False
-        self._schedule(self._one_way, lambda: self._deliver(packet))
+        heapq.heappush(
+            self._events,
+            (
+                self.now + self._one_way,
+                next(self._order),
+                self._deliver,
+                packet,
+            ),
+        )
         if not self.queue.is_empty:
             self._start_service()
 
@@ -191,42 +216,66 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _deliver(self, packet: Packet) -> None:
-        if packet.seq == self._rcv_nxt:
-            self._rcv_nxt = packet.end
+        seq = packet.seq
+        if seq == self._rcv_nxt:
+            rcv_nxt = seq + packet.size
             # Absorb any buffered contiguous segments.
-            while self._rcv_nxt in self._ooo:
-                self._ooo.discard(self._rcv_nxt)
-                self._rcv_nxt += self.env.mss
-        elif packet.seq > self._rcv_nxt:
-            self._ooo.add(packet.seq)
-        # Duplicate (seq < rcv_nxt): pure ACK refresh.
-        sample_time = None if packet.retransmit else packet.send_time
-        ack = Ack(self._rcv_nxt, self.now, sample_time)
-        self._schedule(self._one_way, lambda: self._handle_ack(ack))
+            ooo = self._ooo
+            if ooo:
+                mss = self._mss
+                while rcv_nxt in ooo:
+                    ooo.discard(rcv_nxt)
+                    rcv_nxt += mss
+            self._rcv_nxt = rcv_nxt
+        elif seq > self._rcv_nxt:
+            self._ooo.add(seq)
+        # Duplicate (seq < rcv_nxt): pure ACK refresh.  The ACK carries
+        # the send time of the segment that triggered it, for RTT
+        # sampling; Karn's rule: retransmissions yield no sample.
+        sent_at = None if packet.retransmit else packet.send_time
+        heapq.heappush(
+            self._events,
+            (
+                self.now + self._one_way,
+                next(self._order),
+                self._handle_ack,
+                (self._rcv_nxt, sent_at),
+            ),
+        )
 
     # ------------------------------------------------------------------
     # ACK processing at the sender
     # ------------------------------------------------------------------
 
-    def _handle_ack(self, ack: Ack) -> None:
-        if ack.ack > self.snd_una:
-            self._process_new_ack(ack)
+    def _handle_ack(self, ack: tuple[int, float | None]) -> None:
+        ack_seq, sent_at = ack
+        if ack_seq > self.snd_una:
+            self._process_new_ack(ack_seq, sent_at)
         else:
-            self._process_dupack(ack)
+            self._process_dupack(ack_seq)
         self._send_window()
 
-    def _process_new_ack(self, ack: Ack) -> None:
-        acked = ack.ack - self.snd_una
-        self.snd_una = ack.ack
-        rtt_sample = (
-            self.now - ack.for_send_time
-            if ack.for_send_time is not None
-            else None
-        )
-        self._update_rto(rtt_sample)
-        self._rtx_sent = {seq for seq in self._rtx_sent if seq >= ack.ack}
+    def _process_new_ack(self, ack_seq: int, sent_at: float | None) -> None:
+        now = self.now
+        acked = ack_seq - self.snd_una
+        self.snd_una = ack_seq
+        if sent_at is None:
+            rtt_sample = None
+        else:
+            rtt_sample = now - sent_at
+            # RFC 6298 smoothing (simplified).
+            if self._srtt is None:
+                self._srtt = rtt_sample
+                self._rttvar = rtt_sample / 2.0
+            else:
+                self._rttvar += 0.25 * (
+                    abs(self._srtt - rtt_sample) - self._rttvar
+                )
+                self._srtt += 0.125 * (rtt_sample - self._srtt)
+        if self._rtx_sent:
+            self._rtx_sent = {seq for seq in self._rtx_sent if seq >= ack_seq}
         if self._in_recovery:
-            if ack.ack >= self._recover_point:
+            if ack_seq >= self._recover_point:
                 self._in_recovery = False
                 self._dupacks = 0
             else:
@@ -234,37 +283,33 @@ class Simulator:
                 self._retransmit_missing()
         else:
             self._dupacks = 0
-        event = AckEvent(
-            now=self.now,
-            acked_bytes=acked,
-            rtt_sample=rtt_sample,
-            inflight_bytes=self.snd_nxt - self.snd_una,
-        )
-        self.cca.on_ack(event)
+        inflight = self.snd_nxt - ack_seq
+        cca = self.cca
+        cca.on_ack(AckEvent(now, acked, rtt_sample, inflight))
         self.trace.acks.append(
             AckRecord(
-                time=self.now,
-                ack_seq=ack.ack,
-                acked_bytes=acked,
-                rtt_sample=rtt_sample,
-                cwnd_bytes=self.effective_cwnd,
-                inflight_bytes=self.snd_nxt - self.snd_una,
-                dupack=False,
+                now,
+                ack_seq,
+                acked,
+                rtt_sample,
+                min(cca.cwnd, self._max_cwnd),
+                inflight,
+                False,
             )
         )
         self._arm_timer()
 
-    def _process_dupack(self, ack: Ack) -> None:
+    def _process_dupack(self, ack_seq: int) -> None:
         self._dupacks += 1
         self.trace.acks.append(
             AckRecord(
-                time=self.now,
-                ack_seq=ack.ack,
-                acked_bytes=0,
-                rtt_sample=None,
-                cwnd_bytes=self.effective_cwnd,
-                inflight_bytes=self.snd_nxt - self.snd_una,
-                dupack=True,
+                self.now,
+                ack_seq,
+                0,
+                None,
+                min(self.cca.cwnd, self._max_cwnd),
+                self.snd_nxt - self.snd_una,
+                True,
             )
         )
         if self._dupacks == 3 and not self._in_recovery:
@@ -283,12 +328,6 @@ class Simulator:
         self.trace.losses.append(LossRecord(self.now, "dupack"))
         self._retransmit_missing()
 
-    def _retransmit_head(self) -> None:
-        self._rtx_sent.add(self.snd_una)
-        self._transmit(
-            Packet(self.snd_una, self.env.mss, self.now, retransmit=True)
-        )
-
     def _retransmit_missing(self, limit: int = 64) -> None:
         """Retransmit every unrepaired hole (SACK-informed recovery).
 
@@ -296,46 +335,73 @@ class Simulator:
         information SACK blocks would carry — and resends the segments the
         receiver is actually missing, at most *limit* per invocation.
         """
-        mss = self.env.mss
-        sent = 0
-        for seq in range(self.snd_una, self.snd_nxt, mss):
-            if seq in self._ooo or seq in self._rtx_sent:
-                continue
+        mss = self._mss
+        now = self.now
+        # Sending a hole changes neither set for the holes after it, so
+        # one union serves the whole scan.
+        repaired = self._ooo | self._rtx_sent
+        holes = filterfalse(
+            repaired.__contains__, range(self.snd_una, self.snd_nxt, mss)
+        )
+        for seq in islice(holes, limit):
             self._rtx_sent.add(seq)
-            self._transmit(Packet(seq, mss, self.now, retransmit=True))
-            sent += 1
-            if sent >= limit:
-                break
+            self._transmit(Packet(seq, mss, now, retransmit=True))
 
     # ------------------------------------------------------------------
     # Retransmission timer (RFC 6298, simplified)
     # ------------------------------------------------------------------
 
-    def _update_rto(self, rtt_sample: float | None) -> None:
-        if rtt_sample is None:
-            return
-        if self._srtt is None:
-            self._srtt = rtt_sample
-            self._rttvar = rtt_sample / 2.0
-        else:
-            self._rttvar += 0.25 * (abs(self._srtt - rtt_sample) - self._rttvar)
-            self._srtt += 0.125 * (rtt_sample - self._srtt)
-
-    @property
     def _rto(self) -> float:
         if self._srtt is None:
-            return max(4 * self.env.base_rtt_sec, MIN_RTO)
+            return self._initial_rto
         return max(self._srtt + RTO_VAR_GAIN * self._rttvar, MIN_RTO)
 
     def _arm_timer(self) -> None:
-        deadline = self.now + self._rto
-        self._timer_deadline = deadline
-        snapshot = self.snd_una
-        self._schedule(self._rto, lambda: self._timer_fired(deadline, snapshot))
+        """(Re)start the retransmission timer at ``now + RTO``.
 
-    def _timer_fired(self, deadline: float, una_snapshot: int) -> None:
-        if self._timer_deadline != deadline:
-            return  # superseded by a later re-arm
+        The timer fires exactly where an eagerly pushed entry per arm
+        would: at the live deadline, under the seq and ``snd_una``
+        snapshot of the *first* arm that chose that deadline (a later
+        arm that lands on the same float deadline leaves its own entry
+        behind the first one's, and stale).  Every arm draws a seq, as
+        such a push would, but the heap holds at most one live timer
+        entry: re-arming to a later deadline only records it, and the
+        queued entry re-pushes itself there when it pops (see
+        :meth:`_timer_popped`); re-arming to an earlier deadline pushes
+        a new entry and leaves the old one stale.
+        """
+        seq = next(self._order)
+        deadline = self.now + self._rto()
+        self._timer_deadline = deadline
+        first_seq = self._armed.setdefault(deadline, (seq, self.snd_una))[0]
+        if deadline < self._timer_entry_time:
+            self._push_timer_entry(deadline, first_seq)
+
+    def _push_timer_entry(self, deadline: float, seq: int) -> None:
+        self._timer_entry_time = deadline
+        self._timer_entry_seq = seq
+        heapq.heappush(self._events, (deadline, seq, self._timer_popped, seq))
+
+    def _timer_popped(self, entry_seq: int) -> None:
+        if entry_seq != self._timer_entry_seq:
+            return  # stale: an earlier deadline was pushed since
+        deadline = self._timer_deadline
+        first_seq, snapshot = self._armed[deadline]
+        # Deadlines already passed can never be chosen again.
+        now = self.now
+        self._armed = {
+            pending: arm
+            for pending, arm in self._armed.items()
+            if pending > now
+        }
+        if entry_seq != first_seq:
+            # Re-armed to a later deadline since this entry was pushed.
+            self._push_timer_entry(deadline, first_seq)
+            return
+        self._timer_entry_time = math.inf
+        self._timer_fired(snapshot)
+
+    def _timer_fired(self, una_snapshot: int) -> None:
         if self.snd_una == una_snapshot and self.snd_nxt > self.snd_una:
             # No progress for a full RTO with data outstanding: timeout.
             self.cca.on_loss(
@@ -349,7 +415,10 @@ class Simulator:
             self._in_recovery = False
             self._dupacks = 0
             self._rtx_sent.clear()
-            self._retransmit_head()
+            self._rtx_sent.add(self.snd_una)
+            self._transmit(
+                Packet(self.snd_una, self._mss, self.now, retransmit=True)
+            )
             self._send_window()
         self._arm_timer()
 

@@ -41,6 +41,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.dsl.families import DslSpec
 from repro.dsl.parser import parse
 from repro.dsl.printer import to_text
@@ -77,7 +79,7 @@ from repro.synth.pool import BucketPool
 from repro.synth.result import IterationRecord, SynthesisResult
 from repro.synth.scoring import ScoredHandler, Scorer
 from repro.trace.model import TraceSegment
-from repro.trace.selection import select_diverse_segments
+from repro.trace.selection import segment_shape, select_diverse_segments
 
 __all__ = ["SynthesisConfig", "synthesize", "synthesize_core", "drive"]
 
@@ -175,10 +177,21 @@ class _LoopState:
 
 
 def _working_set(
-    segments: list[TraceSegment], count: int, seed: int
+    segments: list[TraceSegment],
+    count: int,
+    seed: int,
+    shapes: list[np.ndarray],
 ) -> list[TraceSegment]:
+    """A diverse working set of *count* segments.
+
+    *shapes* memoizes the segments' shapes across the calls of one run:
+    it is filled on the first call that has to choose.
+    """
+    count = min(count, len(segments))
+    if count < len(segments) and not shapes:
+        shapes.extend(segment_shape(segment) for segment in segments)
     return select_diverse_segments(
-        segments, min(count, len(segments)), rng=random.Random(seed)
+        segments, count, rng=random.Random(seed), shapes=shapes
     )
 
 
@@ -254,6 +267,7 @@ def synthesize_core(
     pool = BucketPool(dsl, context=ctx)
     initial_bucket_count = len(pool.buckets)
     state = _LoopState()
+    shapes: list[np.ndarray] = []  # see _working_set
     started = time.perf_counter()
     deadline = (
         started + config.time_budget_seconds
@@ -400,7 +414,7 @@ def synthesize_core(
             if loop_done:
                 break
             working = _working_set(
-                segments, segment_count, config.seed + iteration
+                segments, segment_count, config.seed + iteration, shapes
             )
             # Draw up to the cumulative sample size (one shared
             # enumeration pass feeds all buckets) and score everything
@@ -544,7 +558,10 @@ def synthesize_core(
     if not out_of_time():
         with ctx.timer("exhaustive"):
             working = _working_set(
-                segments, segment_count, config.seed + config.max_iterations
+                segments,
+                segment_count,
+                config.seed + config.max_iterations,
+                shapes,
             )
             already = {
                 bucket.key: len(bucket.drawn) for bucket in pool.live

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.trace.model import TraceSegment
-from repro.trace.signals import extract_signals
+from repro.trace.signals import observed_cwnd_column, segment_rows
 
 __all__ = ["segment_shape", "shape_distance", "select_diverse_segments"]
 
@@ -29,11 +29,14 @@ def segment_shape(segment: TraceSegment) -> np.ndarray:
 
     The cwnd series is resampled to a fixed length over normalized time
     and scaled by its mean, so segments from different bandwidths and
-    durations are comparable.
+    durations are comparable.  The series is the time and window
+    columns of the segment's signal table (the same rows, guards and
+    refusals as :func:`~repro.trace.signals.extract_signals`), built
+    without the rest of the table.
     """
-    table = extract_signals(segment)
-    cwnd = table.observed_cwnd()
-    times = table.times()
+    rows = segment_rows(segment)
+    cwnd = observed_cwnd_column(segment, rows)
+    times = np.array([ack.time for ack in rows], dtype=float)
     if len(cwnd) < 2:
         return np.ones(_SHAPE_POINTS)
     t_norm = (times - times[0]) / max(times[-1] - times[0], 1e-9)
@@ -54,17 +57,21 @@ def select_diverse_segments(
     *,
     rng: random.Random | None = None,
     distance: Callable[[np.ndarray, np.ndarray], float] = shape_distance,
+    shapes: Sequence[np.ndarray] | None = None,
 ) -> list[TraceSegment]:
     """Pick *count* segments: half random, half farthest-from-picked.
 
     Follows the paper's §3.2 procedure: first randomly select half the
     desired number; then, for each sampled segment, add the remaining
-    un-picked segment with the highest distance from it.
+    un-picked segment with the highest distance from it.  *shapes*, when
+    given, are the segments' :func:`segment_shape` values, for callers
+    that select from the same segments more than once.
     """
     if count >= len(segments):
         return list(segments)
     rng = rng or random.Random(0)
-    shapes = [segment_shape(segment) for segment in segments]
+    if shapes is None:
+        shapes = [segment_shape(segment) for segment in segments]
     indices = list(range(len(segments)))
 
     first_half = max(count // 2, 1)

@@ -13,13 +13,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.trace.model import TraceSegment
+from repro.trace.model import AckRecord, TraceSegment
 
-__all__ = ["SignalTable", "extract_signals", "SIGNAL_NAMES"]
+__all__ = [
+    "SignalTable",
+    "extract_signals",
+    "segment_rows",
+    "observed_cwnd_column",
+    "SIGNAL_NAMES",
+]
 
 #: Signals every table provides, aligned per new-data ACK.
 SIGNAL_NAMES: tuple[str, ...] = (
@@ -149,35 +156,76 @@ def _usable_rtt(ack) -> float | None:
     return sample
 
 
-def extract_signals(segment: TraceSegment) -> SignalTable:
-    """Compute the :class:`SignalTable` for *segment*.
+def segment_rows(segment: TraceSegment) -> list[AckRecord]:
+    """The segment's new-data ACKs: one signal-table row each.
 
     Only new-data ACKs (``acked_bytes > 0``) contribute rows; dupacks
-    carry no RTT sample and no window progress.  Guards keep garbage
-    out of the table: non-finite RTT samples count as missing, a run of
-    missing samples at the trace head back-fills from the first real
-    sample (instead of fabricating a 1 ms RTT), and non-finite window
-    observations carry the nearest finite neighbor.  A segment with no
-    finite timestamps, windows, or RTT samples raises
-    :class:`~repro.errors.TraceError` — that trace needs
-    :mod:`repro.trace.triage` first.
+    carry no RTT sample and no window progress.  Raises
+    :class:`~repro.errors.TraceError` for a segment with no new-data
+    ACK, with a non-finite timestamp, or with no usable RTT sample in
+    the trace up to its end (there is nothing to back-fill the running
+    RTT statistics from) — that trace needs :mod:`repro.trace.triage`
+    first.
     """
     trace = segment.trace
     rows = [
-        (index, ack)
-        for index, ack in enumerate(trace.acks[: segment.stop])
+        ack
+        for ack in trace.acks[segment.start : segment.stop]
         if not ack.dupack
     ]
-    prefix = [(i, a) for i, a in rows if i < segment.start]
-    inside = [(i, a) for i, a in rows if i >= segment.start]
-    if not inside:
+    if not rows:
         raise TraceError(f"segment {segment.label} has no new-data ACKs")
-    if not all(math.isfinite(ack.time) for _, ack in inside):
+    if not all(math.isfinite(ack.time) for ack in rows):
         raise TraceError(
             f"segment {segment.label} has non-finite timestamps; "
             "run trace triage before extraction"
         )
+    if not any(
+        not ack.dupack and _usable_rtt(ack) is not None
+        for ack in islice(trace.acks, segment.stop)
+    ):
+        raise TraceError(f"segment {segment.label} has no usable RTT samples")
+    return rows
 
+
+def observed_cwnd_column(
+    segment: TraceSegment, rows: list[AckRecord]
+) -> np.ndarray:
+    """The visible window per row of :func:`segment_rows`.
+
+    A non-finite window observation carries the previous finite one and
+    a leading run of them back-fills from the first finite one, instead
+    of landing NaN in the series the scorer matches against.  A segment
+    with no finite window at all raises
+    :class:`~repro.errors.TraceError`.
+    """
+    column = np.empty(len(rows))
+    last_cwnd = float("nan")
+    for row, ack in enumerate(rows):
+        if math.isfinite(ack.cwnd_bytes):
+            last_cwnd = float(ack.cwnd_bytes)
+        column[row] = last_cwnd
+    if not np.isfinite(column).all():
+        finite = column[np.isfinite(column)]
+        if finite.size == 0:
+            raise TraceError(
+                f"segment {segment.label} has no finite cwnd observations"
+            )
+        column[~np.isfinite(column)] = finite[0]
+    return column
+
+
+def extract_signals(segment: TraceSegment) -> SignalTable:
+    """Compute the :class:`SignalTable` for *segment*.
+
+    Rows and refusals come from :func:`segment_rows`, the window column
+    from :func:`observed_cwnd_column`.  Other guards keep garbage out of
+    the table: non-finite RTT samples count as missing, and a run of
+    missing samples at the trace head back-fills from the first real
+    sample (instead of fabricating a 1 ms RTT).
+    """
+    trace = segment.trace
+    inside = segment_rows(segment)
     loss_times = trace.loss_times()
 
     # Warm the running statistics over the trace prefix, so min/max RTT and
@@ -189,7 +237,9 @@ def extract_signals(segment: TraceSegment) -> SignalTable:
     prev_rtt = None
     prev_time = None
     gradient = 0.0
-    for _, ack in prefix:
+    for ack in islice(trace.acks, segment.start):
+        if ack.dupack:
+            continue
         rtt_sample = _usable_rtt(ack)
         if rtt_sample is not None:
             min_rtt = min(min_rtt, rtt_sample)
@@ -214,23 +264,14 @@ def extract_signals(segment: TraceSegment) -> SignalTable:
         # first real sample in the segment (the way
         # :meth:`Trace.rtt_series` does) rather than fabricating a 1 ms
         # RTT that would poison min_rtt for the whole flow.
+        # segment_rows guarantees there is one.
         last_rtt = next(
-            (
-                sample
-                for sample in map(
-                    lambda pair: _usable_rtt(pair[1]), inside
-                )
-                if sample is not None
-            ),
-            None,
+            sample
+            for sample in map(_usable_rtt, inside)
+            if sample is not None
         )
-        if last_rtt is None:
-            raise TraceError(
-                f"segment {segment.label} has no usable RTT samples"
-            )
-    last_cwnd: float | None = None
 
-    for row, (_, ack) in enumerate(inside):
+    for row, ack in enumerate(inside):
         time = ack.time
         rtt_sample = _usable_rtt(ack)
         if rtt_sample is not None:
@@ -268,15 +309,7 @@ def extract_signals(segment: TraceSegment) -> SignalTable:
             time - earlier_losses[-1] if earlier_losses.size else time
         )
 
-        if math.isfinite(ack.cwnd_bytes):
-            last_cwnd = float(ack.cwnd_bytes)
         out["time"][row] = time
-        # A non-finite window observation carries the previous finite
-        # one (leading garbage back-fills below) instead of landing NaN
-        # in the series the scorer matches against.
-        out["cwnd"][row] = (
-            last_cwnd if last_cwnd is not None else float("nan")
-        )
         out["acked_bytes"][row] = acked
         out["rtt"][row] = rtt
         out["min_rtt"][row] = min_rtt if min_rtt != float("inf") else rtt
@@ -289,17 +322,7 @@ def extract_signals(segment: TraceSegment) -> SignalTable:
         out["inflight"][row] = (
             ack.inflight_bytes if math.isfinite(ack.inflight_bytes) else 0.0
         )
-
-    # Back-fill a leading run of non-finite window observations from the
-    # first finite one; refuse a segment with no finite window at all.
-    cwnd_column = out["cwnd"]
-    if not np.isfinite(cwnd_column).all():
-        finite = cwnd_column[np.isfinite(cwnd_column)]
-        if finite.size == 0:
-            raise TraceError(
-                f"segment {segment.label} has no finite cwnd observations"
-            )
-        cwnd_column[~np.isfinite(cwnd_column)] = finite[0]
+    out["cwnd"] = observed_cwnd_column(segment, inside)
 
     table = SignalTable(mss=float(trace.mss), columns=out)
     # W_max estimate: the window at segment start, undone by a canonical
